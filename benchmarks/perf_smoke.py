@@ -15,7 +15,10 @@ The run merges sections into ``BENCH_engine.json`` at the repo root:
   N=8 MLP (wide layers, so BLAS width rather than Python overhead sets the
   pace), gated at float32 >= 1.5x float64;
 * ``fused_adam`` — BSP steps/sec with every worker on Adam (the fused (N, D)
-  moment-matrix path) in both dtypes, recorded for trend tracking.
+  moment-matrix path) in both dtypes, recorded for trend tracking;
+* ``paper_models`` — BSP steps/sec at N=4 on the resnet101, vgg11 and
+  alexnet presets with a host fingerprint (cpu count, BLAS vendor and
+  threads, numpy), gated on every model running the batched executor.
 
 ``--run-scale`` additionally (or independently) merges a ``scale_sweep``
 section: BSP steps/sec for N in {8, 64, 128, 256} on the MLP and
@@ -129,6 +132,14 @@ TELEMETRY_REPEATS = 5
 #: Acceptance gates: disabled telemetry <= 2% below baseline, enabled <= 10%.
 TELEMETRY_DISABLED_GATE = 0.02
 TELEMETRY_ENABLED_GATE = 0.10
+
+#: Paper-model configuration: the figure workloads' presets at the figures'
+#: cluster size, trained with BSP on the default (batched) path.
+PAPER_MODELS = ("resnet101", "vgg11", "alexnet")
+PAPER_WORKERS = 4
+PAPER_STEPS = 60
+PAPER_WARMUP = 5
+PAPER_REPEATS = 3
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -470,6 +481,57 @@ def run_telemetry_benchmark() -> dict:
     }
 
 
+def host_fingerprint() -> dict:
+    """The host a measurement belongs to: cores, BLAS build and threads, numpy."""
+    import os
+
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {
+        "cpu_count": os.cpu_count(),
+        "blas": str(blas.get("name", "unknown")),
+        "blas_version": str(blas.get("version", "unknown")),
+        "blas_threads": next(
+            (os.environ[v] for v in thread_vars if os.environ.get(v)), "default"
+        ),
+        "numpy": numpy.__version__,
+    }
+
+
+def run_paper_models() -> dict:
+    """Best-of-``PAPER_REPEATS`` BSP steps/sec and execution path per model."""
+    from repro.harness.experiment import build_cluster as build_preset_cluster
+    from repro.harness.experiment import build_workload
+
+    steps_per_sec, exec_path = {}, {}
+    for name in PAPER_MODELS:
+        preset = build_workload(name)
+        best = 0.0
+        for _ in range(PAPER_REPEATS):
+            cluster = build_preset_cluster(preset, num_workers=PAPER_WORKERS, seed=0)
+            trainer = _make_trainer("bsp", cluster)
+            best = max(best, _time_trainer(cluster, trainer, PAPER_STEPS, PAPER_WARMUP))
+            exec_path[name] = cluster.exec_path
+            cluster.close()
+        steps_per_sec[name] = best
+    return {
+        "config": {
+            "num_workers": PAPER_WORKERS,
+            "steps": PAPER_STEPS,
+            "warmup": PAPER_WARMUP,
+            "repeats": PAPER_REPEATS,
+        },
+        "host": host_fingerprint(),
+        "steps_per_sec": steps_per_sec,
+        "exec_path": exec_path,
+    }
+
+
 def run_benchmark() -> dict:
     current = {name: measure_steps_per_sec(name) for name in ("bsp", "selsync")}
     dtype_mode = {
@@ -507,6 +569,7 @@ def run_benchmark() -> dict:
             "steps_per_sec": fused_adam,
             "float32_speedup_over_float64": fused_adam["float32"] / fused_adam["float64"],
         },
+        "paper_models": run_paper_models(),
     }
 
 
@@ -539,7 +602,17 @@ def test_perf_smoke(request):
         )
         + f" ({fused_adam['float32_speedup_over_float64']:.2f}x)"
     )
+    paper = report["paper_models"]
+    lines.append(
+        f"paper models (BSP, N={PAPER_WORKERS}): "
+        + ", ".join(
+            f"{name}: {paper['steps_per_sec'][name]:.0f} steps/s ({paper['exec_path'][name]})"
+            for name in PAPER_MODELS
+        )
+    )
     print("\n" + "\n".join(lines) + f"\n[saved to {RESULT_PATH}]")
+    # One compute path: every paper model runs the batched executor.
+    assert paper["exec_path"] == {name: "batched" for name in PAPER_MODELS}
     # The engine milestone's acceptance gate: >= 3x over the seed hot path.
     assert report["speedup_over_baseline"]["selsync"] >= 3.0
     assert report["speedup_over_baseline"]["bsp"] >= 3.0

@@ -422,7 +422,8 @@ class RunResult:
 
     ``records`` are JSON-ready dicts in the exact
     :class:`~repro.scenarios.runner.ScenarioRecord` shape
-    (``{"params", "label", "metrics"}``), so a record that travelled through
+    (``{"params", "label", "metrics"}`` plus the optional ``phases`` and
+    ``meta``), so a record that travelled through
     the experiment service is byte-identical to one produced locally.
     ``results`` keeps the raw :class:`~repro.algorithms.base.TrainingResult`
     objects (never serialized); ``report`` is the underlying
@@ -536,6 +537,7 @@ def _run_experiment_kind(
         "params": dict(request.params),
         "label": out.algorithm,
         "metrics": result_metrics(out.result),
+        "meta": out.exec_meta,
     }
     # Opt-in per-phase breakdown: present only when telemetry tracing was
     # active during the run, so default artifacts stay byte-identical.

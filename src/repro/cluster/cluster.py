@@ -186,21 +186,19 @@ class SimulatedCluster:
             dtype=self.dtype,
             transport_dtype=config.transport_dtype,
         )
-        # Shared per-step dropout stream: batches TransformerLM with p > 0
-        # (and keeps replica-pool children mask-identical without IPC).
-        # Private per-layer dropout RNGs stay the default for every other
-        # model family, preserving their seed trajectories.
+        # Shared per-step dropout stream for any model with active dropout:
+        # the batched executor replays its (N, ...) mask blocks, and
+        # replica-pool children stay mask-identical without IPC.
         from repro.engine import (
             SharedDropoutStream,
             attach_shared_dropout,
             module_has_active_dropout,
         )
-        from repro.nn.models.transformer import TransformerLM
 
         self.dropout_stream = None
         self._dropout_tick = 0
         model0 = self.workers[0].model
-        if type(model0) is TransformerLM and module_has_active_dropout(model0):
+        if module_has_active_dropout(model0):
             self.dropout_stream = SharedDropoutStream(config.seed, n)
             # Arm the stream at tick 0 so direct training-mode forwards
             # (e.g. Worker.train_step outside a trainer) work immediately;
@@ -208,12 +206,11 @@ class SimulatedCluster:
             self.dropout_stream.set_step(self._dropout_tick)
             for worker_id, worker in enumerate(self.workers):
                 attach_shared_dropout(worker.model, self.dropout_stream, worker_slot=worker_id)
-        # Fused all-replica forward/backward when the model family supports
-        # it (None otherwise; compute_gradients_all falls back to the loop).
-        # Both tasks share the cross-entropy arithmetic, so classification
-        # (MLP/conv) and language modeling (transformer) batch the same way.
-        self.replica_exec = BatchedReplicaExecutor.build(
-            self.matrix, self.workers[0].model
+        # Fused all-replica forward/backward compiled from the model tree
+        # (None plus the compiler's reason when some module has no batched
+        # kernel; compute_gradients_all then runs the per-worker loop).
+        self.replica_exec, self.exec_reason = BatchedReplicaExecutor.compile(
+            self.matrix, model0
         )
         # Fused all-worker optimizer stepping when every worker runs the
         # same SGD or Adam configuration (None otherwise; apply_local_updates
@@ -255,6 +252,13 @@ class SimulatedCluster:
         # is a strict no-op then.
         self.active_mask = np.ones(n, dtype=bool)
         self.fault_speed_scale = np.ones(n, dtype=np.float64)
+
+    @property
+    def exec_path(self) -> str:
+        """How gradients are computed: ``pool``, ``batched`` or ``per_worker``."""
+        if self.pool is not None:
+            return "pool"
+        return "batched" if self.replica_exec is not None else "per_worker"
 
     # ------------------------------------------------------------------ #
     # matrix construction (extension point)
@@ -490,12 +494,13 @@ class SimulatedCluster:
         if batch is None:
             batch = worker.next_batch()
         tick = self._next_dropout_tick()
-        if self.pool is not None:
-            loss, norm = self.pool.compute_one(worker.worker_id, batch, tick=tick)
-            worker.last_loss = loss
-            worker.last_grad_norm = norm
-            return loss
-        return worker.compute_gradients_flat(batch)[0]
+        with telemetry.span("cluster.gradients"):
+            if self.pool is not None:
+                loss, norm = self.pool.compute_one(worker.worker_id, batch, tick=tick)
+                worker.last_loss = loss
+                worker.last_grad_norm = norm
+                return loss
+            return worker.compute_gradients_flat(batch)[0]
 
     def apply_local_updates(
         self, lr: Optional[float] = None, grads: Optional[np.ndarray] = None
@@ -736,6 +741,10 @@ class StackedSliceCluster(SimulatedCluster):
         self._stacked_matrix = stacked_matrix
         self._slice_index = int(slice_index)
         super().__init__(*args, **kwargs)
+
+    @property
+    def exec_path(self) -> str:
+        return "stacked"
 
     def _build_matrix(self, spec) -> WorkerMatrix:
         if self.config.pool_workers:

@@ -12,6 +12,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro import telemetry
 from repro.data.loader import DataLoader
 from repro.nn.losses import cross_entropy_with_logits
 from repro.nn.module import Module
@@ -76,9 +77,11 @@ class Worker:
             batch = self.next_batch()
         inputs, targets = batch
         self.model.zero_grad()
-        logits = self.model.forward(inputs)
-        loss, dlogits = cross_entropy_with_logits(logits, targets)
-        self.model.backward(dlogits)
+        with telemetry.span("engine.forward"):
+            logits = self.model.forward(inputs)
+        with telemetry.span("engine.backward"):
+            loss, dlogits = cross_entropy_with_logits(logits, targets)
+            self.model.backward(dlogits)
         grad_vector = self.model.grad_vector
         self.last_loss = loss
         self.last_grad_norm = float(np.sqrt(grad_vector @ grad_vector))

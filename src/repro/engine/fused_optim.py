@@ -10,15 +10,60 @@ Per-worker optimizers stay fully functional — their state is *re-bound*
 onto the fused rows, so mixing fused steps (the trainers' hot path) with
 individual ``optimizer.step()`` calls (SSP's sequential path, tests) keeps
 one consistent state.
+
+Each step is one cache-blocked pass: the ``(N, D)`` matrices are walked in
+tiles of at most :data:`BLOCK` elements, and every elementwise operation of
+the update runs on one tile (plus a block-sized scratch buffer) before the
+next tile is touched, instead of streaming several ``(N, D)`` temporaries
+through memory.  All operations are elementwise, so the result is
+bit-identical to the unblocked matrix arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.worker_matrix import WorkerMatrix
+
+#: Elements per tile of a blocked update (256 KiB of float64 per operand).
+BLOCK = 32 * 1024
+
+Tile = Tuple[slice, slice]
+_TILES: Dict[Tuple[int, int, int], List[Tile]] = {}
+
+
+def tiles(n_rows: int, n_cols: int, block: Optional[int] = None) -> List[Tile]:
+    """``(rows, cols)`` slices of at most ``block`` elements covering a matrix.
+
+    Narrow matrices are cut into groups of whole rows; rows of ``block`` or
+    more columns are cut along the row, one row at a time — the layout a
+    broadcast ``(1, D)`` gradient needs.  ``block`` defaults to
+    :data:`BLOCK`.
+    """
+    block = block or BLOCK
+    key = (n_rows, n_cols, block)
+    cached = _TILES.get(key)
+    if cached is None:
+        cached = []
+        if n_cols >= block:
+            for row in range(n_rows):
+                for lo in range(0, n_cols, block):
+                    cached.append((slice(row, row + 1), slice(lo, min(lo + block, n_cols))))
+        elif n_cols > 0:
+            step = block // n_cols
+            for lo in range(0, n_rows, step):
+                cached.append((slice(lo, min(lo + step, n_rows)), slice(0, n_cols)))
+        _TILES[key] = cached
+    return cached
+
+
+def _grad_rows(matrix: WorkerMatrix, grads: Optional[np.ndarray]) -> np.ndarray:
+    """Each worker's own gradient rows, or one ``(1, D)`` row for all."""
+    if grads is None:
+        return matrix.grads
+    return np.asarray(grads, dtype=matrix.dtype).reshape(1, -1)
 
 
 class FusedSGDUpdate:
@@ -38,6 +83,8 @@ class FusedSGDUpdate:
                 opt.rebind_velocity(row)
         else:
             self.velocity = None
+        # Block-sized temporaries, viewed in each tile's shape.
+        self._scratch = np.empty((2, BLOCK), dtype=matrix.dtype)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -84,23 +131,32 @@ class FusedSGDUpdate:
             return False
 
         params = self._matrix.params
-        if grads is None:
-            grad_rows: np.ndarray = self._matrix.grads
-        else:
-            grad_rows = np.asarray(grads, dtype=self._matrix.dtype).reshape(1, -1)
-        if self.weight_decay:
-            grad_rows = grad_rows + self.weight_decay * params
-        if self.momentum:
-            buf = self.velocity
-            buf *= self.momentum
-            buf += grad_rows
-            if self.nesterov:
-                step_dir: Union[np.ndarray, float] = grad_rows + self.momentum * buf
+        grad_rows = _grad_rows(self._matrix, grads)
+        wd, momentum, nesterov = self.weight_decay, self.momentum, self.nesterov
+        for rows, cols in tiles(*params.shape):
+            p = params[rows, cols]
+            g = grad_rows[rows if grads is None else slice(None), cols]
+            d_p, step = self._scratch[:, : p.size].reshape((2,) + p.shape)
+            if wd:
+                # g + wd·p, with the operands swapped: addition commutes.
+                np.multiply(p, wd, out=d_p)
+                d_p += g
             else:
-                step_dir = buf
-        else:
-            step_dir = grad_rows
-        params -= lr_value * step_dir
+                d_p = g
+            if momentum:
+                buf = self.velocity[rows, cols]
+                buf *= momentum
+                buf += d_p
+                if nesterov:
+                    np.multiply(buf, momentum, out=step)
+                    step += d_p
+                    step_dir = step
+                else:
+                    step_dir = buf
+            else:
+                step_dir = d_p
+            np.multiply(step_dir, lr_value, out=step)
+            p -= step
 
         for opt in optimizers:
             opt._step_count += 1
@@ -134,6 +190,7 @@ class FusedAdamUpdate:
         self.v = np.zeros_like(matrix.params)
         for m_row, v_row, opt in zip(self.m, self.v, self._optimizers):
             opt.rebind_moments(m_row, v_row)
+        self._scratch = np.empty((3, BLOCK), dtype=matrix.dtype)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -183,23 +240,40 @@ class FusedAdamUpdate:
             return False
 
         params = self._matrix.params
-        if grads is None:
-            grad_rows: np.ndarray = self._matrix.grads
-        else:
-            grad_rows = np.asarray(grads, dtype=self._matrix.dtype).reshape(1, -1)
+        grad_rows = _grad_rows(self._matrix, grads)
         t = t_value + 1
         for opt in optimizers:
             opt._t = t
-        if self.weight_decay:
-            grad_rows = grad_rows + self.weight_decay * params
-        m, v = self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad_rows
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad_rows**2
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        params -= lr_value * m_hat / (np.sqrt(v_hat) + self.eps)
+        wd, beta1, beta2, eps = self.weight_decay, self.beta1, self.beta2, self.eps
+        correction1 = 1.0 - beta1**t
+        correction2 = 1.0 - beta2**t
+        for rows, cols in tiles(*params.shape):
+            p = params[rows, cols]
+            g = grad_rows[rows if grads is None else slice(None), cols]
+            d_p, step, denom = self._scratch[:, : p.size].reshape((3,) + p.shape)
+            if wd:
+                np.multiply(p, wd, out=d_p)
+                d_p += g
+            else:
+                d_p = g
+            m = self.m[rows, cols]
+            m *= beta1
+            np.multiply(d_p, 1.0 - beta1, out=step)
+            m += step
+            v = self.v[rows, cols]
+            v *= beta2
+            np.square(d_p, out=step)
+            step *= 1.0 - beta2
+            v += step
+            # lr · m̂ / (√v̂ + eps), evaluated left to right like the
+            # unblocked expression.
+            np.divide(m, correction1, out=step)
+            step *= lr_value
+            np.divide(v, correction2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            p -= step
 
         for opt in optimizers:
             opt._step_count += 1

@@ -8,29 +8,32 @@ cluster as batched NumPy calls — one fused call per layer instead of one
 Python call per layer *per worker* — writing gradients straight into the
 gradient matrix rows.
 
-Three model families are supported:
+One recursive compiler covers every model: a type registry maps each
+supported module type to a batched kernel, and composite modules compile
+their children.
 
-* the **MLP family** (chains of Linear / ReLU / Tanh on a classification
-  head), which covers the simulator's hot benchmarks,
-* the **conv family** (:class:`~repro.nn.models.convnet.ConvNet`: Conv2d /
-  ReLU / MaxPool2d / GlobalAvgPool2d features plus a Linear head), the
-  non-MLP workload used to measure dtype-mode speedups on spatially
-  structured inputs, and
-* the **transformer family**
-  (:class:`~repro.nn.models.transformer.TransformerLM`: embedding +
-  positional encoding, pre-norm encoder blocks with multi-head causal
-  self-attention and a ReLU feed-forward, final norm and LM head).  Token
-  batches flow as ``(N, batch, seq)`` integer blocks; every contraction —
-  projections, attention scores, softmax backward — runs once for all
-  replicas via ``(N, ...)`` einsum/GEMM calls over the weight views.
+* **Leaves**: Linear, ReLU, Tanh, LayerNorm (any rank), Conv2d, MaxPool2d,
+  GlobalAvgPool2d, Dropout, Embedding, PositionalEncoding and multi-head
+  causal self-attention.
+* **Composites**: Sequential, ResidualMLPBlock (``x + f(x)``), the pre-norm
+  TransformerEncoderLayer (two residual halves), and the preset models —
+  MLP, ConvNet, TransformerLM, ResNetLike, VGGLike and AlexNetLike — each
+  compiled as the chain of its registered children.
+
+Feature batches flow as ``(N, batch, features)`` blocks, image batches as
+``(N, batch, C, H, W)`` and token batches as ``(N, batch, seq)`` integer
+blocks; every contraction runs once for all replicas via ``(N, ...)``
+GEMM calls over the weight views, with the per-worker layers' operand
+order, so float64 results are bit-identical to the per-worker loop.
 
 All arithmetic runs in the worker matrix's compute dtype (float64 default,
-float32 in the reduced-precision mode).  Clusters with unsupported models
-fall back to the per-worker loop transparently.  Transformers with active
-dropout batch when their layers draw from a
+float32 in the reduced-precision mode).  Matching is by exact type: a
+subclass may override ``forward``, which a batched kernel would silently
+ignore, so such models are rejected with a reason and run the per-worker
+loop.  Active dropout batches when its layers draw from a
 :class:`~repro.engine.dropout_stream.SharedDropoutStream` (one deterministic
 ``(N, ...)`` mask block per step and layer); dropout on private per-layer
-RNG streams still falls back.
+RNG streams is rejected.
 """
 
 from __future__ import annotations
@@ -344,7 +347,14 @@ class _BatchedPositionalEncoding:
 
 
 class _BatchedLayerNorm:
-    """All workers' LayerNorm over (N, B, T, d) activations in one pass."""
+    """All workers' LayerNorm over ``(N, ..., d)`` activations in one pass.
+
+    Any rank works: ``(N, B, d)`` blocks (residual MLPs) and ``(N, B, T, d)``
+    sequence blocks (transformers).  The per-replica ``(N, d)`` affine
+    parameters broadcast over the middle axes, and their gradients reduce
+    over those same axes — the per-worker layer's reduction axes shifted by
+    the replica axis.
+    """
 
     def __init__(
         self,
@@ -361,20 +371,26 @@ class _BatchedLayerNorm:
         self.eps = eps
         self._cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
+    def _affine_shape(self, ndim: int) -> Tuple[int, ...]:
+        n, d = self.gamma.shape
+        return (n,) + (1,) * (ndim - 2) + (d,)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = (x - mean) * inv_std
         self._cache = (x_hat, inv_std)
-        return self.gamma[:, None, None, :] * x_hat + self.beta[:, None, None, :]
+        shape = self._affine_shape(x.ndim)
+        return self.gamma.reshape(shape) * x_hat + self.beta.reshape(shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x_hat, inv_std = self._cache
         d = x_hat.shape[-1]
-        self.gamma_grad[...] = (grad_out * x_hat).sum(axis=(1, 2))
-        self.beta_grad[...] = grad_out.sum(axis=(1, 2))
-        dxhat = grad_out * self.gamma[:, None, None, :]
+        reduce_axes = tuple(range(1, grad_out.ndim - 1))
+        self.gamma_grad[...] = (grad_out * x_hat).sum(axis=reduce_axes)
+        self.beta_grad[...] = grad_out.sum(axis=reduce_axes)
+        dxhat = grad_out * self.gamma.reshape(self._affine_shape(grad_out.ndim))
         return (
             inv_std
             / d
@@ -463,61 +479,254 @@ class _BatchedSelfAttention:
         return dx
 
 
-class _BatchedEncoderLayer:
-    """Pre-norm encoder block (attention + FFN, both residual), batched.
+class _BatchedChain:
+    """Layers applied in order; backward runs them in reverse."""
 
-    Mirrors :class:`~repro.nn.attention.TransformerEncoderLayer` exactly.
-    Dropout layers are omitted when inactive (p == 0); active dropout is
-    supported through :class:`_BatchedDropout` when the module's layers are
-    attached to a shared dropout stream (models with private per-layer
-    dropout RNGs still fall back to the per-worker loop).
-    """
-
-    def __init__(
-        self,
-        norm1: _BatchedLayerNorm,
-        attn: _BatchedSelfAttention,
-        norm2: _BatchedLayerNorm,
-        ff1: _BatchedLinear,
-        act: _BatchedReLU,
-        ff2: _BatchedLinear,
-        drop1: Optional[_BatchedDropout] = None,
-        drop2: Optional[_BatchedDropout] = None,
-    ) -> None:
-        self.norm1 = norm1
-        self.attn = attn
-        self.norm2 = norm2
-        self.ff1 = ff1
-        self.act = act
-        self.ff2 = ff2
-        self.drop1 = drop1
-        self.drop2 = drop2
+    def __init__(self, layers: Sequence[object]) -> None:
+        self.layers = list(layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        a = self.norm1.forward(x)
-        a = self.attn.forward(a)
-        if self.drop1 is not None:
-            a = self.drop1.forward(a)
-        x = x + a
-        f = self.norm2.forward(x)
-        f = self.ff1.forward(f)
-        f = self.act.forward(f)
-        f = self.ff2.forward(f)
-        if self.drop2 is not None:
-            f = self.drop2.forward(f)
-        return x + f
+        for layer in self.layers:
+            x = layer.forward(x)
+        return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g_ff = grad_out if self.drop2 is None else self.drop2.backward(grad_out)
-        g_ff = self.ff2.backward(g_ff)
-        g_ff = self.act.backward(g_ff)
-        g_ff = self.ff1.backward(g_ff)
-        g_ff = self.norm2.backward(g_ff)
-        g_mid = grad_out + g_ff
-        g_attn = g_mid if self.drop1 is None else self.drop1.backward(g_mid)
-        g_attn = self.attn.backward(g_attn)
-        g_attn = self.norm1.backward(g_attn)
-        return g_mid + g_attn
+        for layer in reversed(self.layers):
+            grad_out = layer.backward(grad_out)
+        return grad_out
+
+
+class _BatchedResidual:
+    """Skip connection around a branch: ``x + f(x)``, backward ``g + f'(g)``.
+
+    Covers :class:`~repro.nn.layers.ResidualMLPBlock` and both residual
+    halves of a pre-norm encoder block, with the same operand order as the
+    per-worker modules, so float64 results are bit-identical.
+    """
+
+    def __init__(self, branch: _BatchedChain) -> None:
+        self.branch = branch
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x + self.branch.forward(x)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        return grad_out + self.branch.backward(grad_out)
+
+
+class _Rejected(Exception):
+    """A module the batched compiler cannot lower; carries the reason."""
+
+
+class _Compiler:
+    """Lowers a ``Module`` tree onto ``(N, ...)`` views of a worker matrix.
+
+    :data:`_KERNELS` maps each supported module type (exact type: a subclass
+    may override ``forward``, which a batched kernel would silently ignore)
+    to a function returning the batched layer for one module instance —
+    ``None`` for modules that are the identity while training (dropout with
+    ``p == 0``).  Composite entries compile their children through
+    :meth:`compile`, so nesting is unbounded.  Every parameter a kernel
+    takes is counted; the layout must be covered exactly.
+    """
+
+    def __init__(self, matrix: WorkerMatrix, row_offset: int) -> None:
+        self.matrix = matrix
+        self.spec = matrix.spec
+        self.row_offset = int(row_offset)
+        self.covered = 0
+        # Stacked-input rank and kind, fixed by the first kernel compiled.
+        self.input_ndim: Optional[int] = None
+        self.token_input = False
+
+    def expect_input(self, ndim: int, token: bool = False) -> None:
+        if self.input_ndim is None:
+            self.input_ndim = ndim
+            self.token_input = token
+
+    def views(self, name: str, shape: Optional[Tuple[int, ...]] = None):
+        """``(params, grads)`` views of one parameter for all replicas."""
+        if name not in self.spec:
+            raise _Rejected(f"parameter {name!r} is not in the flat layout")
+        sl = self.spec.slice_of(name)
+        shape = (self.matrix.num_workers,) + (shape or self.spec.shape_of(name))
+        self.covered += sl.stop - sl.start
+        return (
+            self.matrix.params[:, sl].reshape(shape),
+            self.matrix.grads[:, sl].reshape(shape),
+        )
+
+    def compile(self, module, prefix: str):
+        kernel = _kernels().get(type(module))
+        if kernel is None:
+            where = prefix.rstrip(".") or "<root>"
+            raise _Rejected(f"no batched kernel for {type(module).__qualname__} at {where}")
+        return kernel(self, module, prefix)
+
+    def chain(self, named_modules, prefix: str) -> _BatchedChain:
+        """Compile ``(name, module)`` pairs into one flat chain."""
+        layers: List[object] = []
+        for name, module in named_modules:
+            layer = self.compile(module, f"{prefix}{name}.")
+            if isinstance(layer, _BatchedChain):
+                layers.extend(layer.layers)
+            elif layer is not None:
+                layers.append(layer)
+        return _BatchedChain(layers)
+
+
+def _linear(c: _Compiler, layer, prefix: str) -> _BatchedLinear:
+    c.expect_input(3)
+    weight, weight_grad = c.views(prefix + "weight")
+    bias = bias_grad = None
+    if layer.use_bias:
+        bias, bias_grad = c.views(prefix + "bias")
+    return _BatchedLinear(weight, weight_grad, bias, bias_grad)
+
+
+def _conv2d(c: _Compiler, layer, prefix: str) -> _BatchedConv2d:
+    c.expect_input(5)
+    out_c, in_c, kh, kw = c.spec.shape_of(prefix + "weight")
+    w_flat, w_flat_grad = c.views(prefix + "weight", (out_c, in_c * kh * kw))
+    bias = bias_grad = None
+    if layer.use_bias:
+        bias, bias_grad = c.views(prefix + "bias")
+    return _BatchedConv2d(
+        w_flat, w_flat_grad, bias, bias_grad,
+        kernel_size=layer.kernel_size, stride=layer.stride, padding=layer.padding,
+    )
+
+
+def _max_pool(c: _Compiler, layer, prefix: str) -> _BatchedMaxPool2d:
+    c.expect_input(5)
+    return _BatchedMaxPool2d(layer.kernel_size, layer.stride)
+
+
+def _global_avg_pool(c: _Compiler, layer, prefix: str) -> _BatchedGlobalAvgPool2d:
+    c.expect_input(5)
+    return _BatchedGlobalAvgPool2d()
+
+
+def _layer_norm(c: _Compiler, layer, prefix: str) -> _BatchedLayerNorm:
+    c.expect_input(3)
+    gamma, gamma_grad = c.views(prefix + "gamma")
+    beta, beta_grad = c.views(prefix + "beta")
+    return _BatchedLayerNorm(gamma, gamma_grad, beta, beta_grad, eps=layer.eps)
+
+
+def _dropout(c: _Compiler, layer, prefix: str) -> Optional[_BatchedDropout]:
+    if layer.p == 0.0:
+        return None
+    # Private per-layer RNG streams cannot be replayed batched; only masks
+    # drawn from a shared per-step stream can.
+    if layer._shared_stream is None:
+        raise _Rejected(
+            f"dropout at {prefix.rstrip('.')} draws masks from a private RNG "
+            "(no shared dropout stream attached)"
+        )
+    return _BatchedDropout(layer._shared_stream, layer._stream_layer_id, layer.p, c.row_offset)
+
+
+def _embedding(c: _Compiler, layer, prefix: str) -> _BatchedEmbedding:
+    c.expect_input(3, token=True)
+    return _BatchedEmbedding(*c.views(prefix + "weight"))
+
+
+def _positional_encoding(c: _Compiler, layer, prefix: str) -> _BatchedPositionalEncoding:
+    return _BatchedPositionalEncoding(layer.pe)
+
+
+def _attention(c: _Compiler, layer, prefix: str) -> _BatchedSelfAttention:
+    projections = [
+        c.compile(getattr(layer, name), f"{prefix}{name}.")
+        for name in ("q_proj", "k_proj", "v_proj", "out_proj")
+    ]
+    if not all(isinstance(p, _BatchedLinear) for p in projections):
+        raise _Rejected(f"attention projections at {prefix.rstrip('.')} are not Linear")
+    return _BatchedSelfAttention(
+        *projections, num_heads=layer.num_heads, d_head=layer.d_head, causal=layer.causal
+    )
+
+
+def _children(c: _Compiler, module, prefix: str) -> _BatchedChain:
+    """A module whose forward is its registered children, in order."""
+    return c.chain(module._modules.items(), prefix)
+
+
+def _residual_block(c: _Compiler, block, prefix: str) -> _BatchedResidual:
+    return _BatchedResidual(_children(c, block, prefix))
+
+
+def _encoder_layer(c: _Compiler, enc, prefix: str) -> _BatchedChain:
+    # Pre-norm block: x + drop1(attn(norm1(x))), then x + drop2(ffn(norm2(x))).
+    attn = c.chain(
+        [(name, getattr(enc, name)) for name in ("norm1", "attn", "drop1")], prefix
+    )
+    ffn = c.chain(
+        [(name, getattr(enc, name)) for name in ("norm2", "ff1", "act", "ff2", "drop2")],
+        prefix,
+    )
+    return _BatchedChain([_BatchedResidual(attn), _BatchedResidual(ffn)])
+
+
+_KERNELS: dict = {}
+
+
+def _kernels() -> dict:
+    """The type registry, filled on first use.
+
+    Imported lazily: the engine stays importable without the nn layer
+    stack, and nn itself only lazily imports the engine.
+    """
+    if not _KERNELS:
+        from repro.nn.attention import (
+            MultiHeadSelfAttention,
+            PositionalEncoding,
+            TransformerEncoderLayer,
+        )
+        from repro.nn.layers import (
+            Conv2d,
+            Dropout,
+            Embedding,
+            GlobalAvgPool2d,
+            LayerNorm,
+            Linear,
+            MaxPool2d,
+            ReLU,
+            ResidualMLPBlock,
+            Tanh,
+        )
+        from repro.nn.models import (
+            MLP,
+            AlexNetLike,
+            ConvNet,
+            ResNetLike,
+            TransformerLM,
+            VGGLike,
+        )
+        from repro.nn.module import Sequential
+
+        _KERNELS.update(
+            {
+                Linear: _linear,
+                ReLU: lambda c, m, p: _BatchedReLU(),
+                Tanh: lambda c, m, p: _BatchedTanh(),
+                LayerNorm: _layer_norm,
+                Conv2d: _conv2d,
+                MaxPool2d: _max_pool,
+                GlobalAvgPool2d: _global_avg_pool,
+                Dropout: _dropout,
+                Embedding: _embedding,
+                PositionalEncoding: _positional_encoding,
+                MultiHeadSelfAttention: _attention,
+                Sequential: _children,
+                ResidualMLPBlock: _residual_block,
+                TransformerEncoderLayer: _encoder_layer,
+            }
+        )
+        for model in (MLP, ConvNet, TransformerLM, ResNetLike, VGGLike, AlexNetLike):
+            _KERNELS[model] = _children
+    return _KERNELS
 
 
 _INDEX_CACHE: dict = {}
@@ -575,290 +784,49 @@ class BatchedReplicaExecutor:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def build(
+    def compile(
         cls, matrix: WorkerMatrix, module, row_offset: int = 0
-    ) -> Optional["BatchedReplicaExecutor"]:
-        """Build an executor for ``module`` or return None if unsupported.
+    ) -> Tuple[Optional["BatchedReplicaExecutor"], Optional[str]]:
+        """Compile ``module`` into an executor: ``(executor, None)`` or
+        ``(None, reason)`` when some part of it has no batched kernel.
 
         ``module`` must be the already-adopted replica of the matrix's first
         row; its architecture (shared by all workers) defines the layer
-        chain.  Exact-type checks: a subclass may override forward (skip
-        connections, extra parameters), which the batched chains below would
-        silently ignore — such models must use the fallback loop.
-
-        ``row_offset`` is the matrix's first row's *global* replica index —
-        nonzero when ``matrix`` is a replica-pool child's group sub-matrix —
-        and only affects shared-stream dropout, whose mask blocks span the
-        full cluster.
+        chain.  ``row_offset`` is the matrix's first row's *global* replica
+        index — nonzero when ``matrix`` is a replica-pool child's group
+        sub-matrix — and only affects shared-stream dropout, whose mask
+        blocks span the full cluster.
         """
-        # Imported here: the engine stays importable without the nn layer
-        # stack, and nn itself only lazily imports the engine.
-        from repro.nn.models.convnet import ConvNet
-        from repro.nn.models.mlp import MLP
-        from repro.nn.models.transformer import TransformerLM
-
-        if type(module) is MLP:
-            return cls._build_mlp(matrix, module)
-        if type(module) is ConvNet:
-            return cls._build_convnet(matrix, module)
-        if type(module) is TransformerLM:
-            return cls._build_transformer(matrix, module, row_offset)
-        return None
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def _batched_linear(cls, matrix: WorkerMatrix, spec, prefix: str, layer):
-        """(layer, covered_entries) for one Linear, or None if layout-mismatched."""
-        n = matrix.num_workers
-        w_name = prefix + "weight"
-        if w_name not in spec:
-            return None
-        w_shape = spec.shape_of(w_name)
-        w_sl = spec.slice_of(w_name)
-        weight = matrix.params[:, w_sl].reshape((n,) + w_shape)
-        weight_grad = matrix.grads[:, w_sl].reshape((n,) + w_shape)
-        covered = w_sl.stop - w_sl.start
-        bias = bias_grad = None
-        if layer.use_bias:
-            b_name = prefix + "bias"
-            if b_name not in spec:
-                return None
-            b_sl = spec.slice_of(b_name)
-            bias = matrix.params[:, b_sl]
-            bias_grad = matrix.grads[:, b_sl]
-            covered += b_sl.stop - b_sl.start
-        return _BatchedLinear(weight, weight_grad, bias, bias_grad), covered
-
-    @classmethod
-    def _batched_conv(cls, matrix: WorkerMatrix, spec, prefix: str, layer):
-        """(layer, covered_entries) for one Conv2d, or None if layout-mismatched."""
-        n = matrix.num_workers
-        w_name = prefix + "weight"
-        if w_name not in spec:
-            return None
-        out_c, in_c, kh, kw = spec.shape_of(w_name)
-        w_sl = spec.slice_of(w_name)
-        w_flat = matrix.params[:, w_sl].reshape(n, out_c, in_c * kh * kw)
-        w_flat_grad = matrix.grads[:, w_sl].reshape(n, out_c, in_c * kh * kw)
-        covered = w_sl.stop - w_sl.start
-        bias = bias_grad = None
-        if layer.use_bias:
-            b_name = prefix + "bias"
-            if b_name not in spec:
-                return None
-            b_sl = spec.slice_of(b_name)
-            bias = matrix.params[:, b_sl]
-            bias_grad = matrix.grads[:, b_sl]
-            covered += b_sl.stop - b_sl.start
-        batched = _BatchedConv2d(
-            w_flat,
-            w_flat_grad,
-            bias,
-            bias_grad,
-            kernel_size=layer.kernel_size,
-            stride=layer.stride,
-            padding=layer.padding,
-        )
-        return batched, covered
-
-    @classmethod
-    def _build_mlp(cls, matrix: WorkerMatrix, module) -> Optional["BatchedReplicaExecutor"]:
-        from repro.nn.layers import Linear, ReLU, Tanh
-
-        spec = matrix.spec
-        covered = 0
-        layers: List[object] = []
-        for idx, layer in enumerate(module.net):
-            prefix = f"net.{idx}."
-            if isinstance(layer, Linear):
-                built = cls._batched_linear(matrix, spec, prefix, layer)
-                if built is None:
-                    return None
-                layers.append(built[0])
-                covered += built[1]
-            elif isinstance(layer, ReLU):
-                layers.append(_BatchedReLU())
-            elif isinstance(layer, Tanh):
-                layers.append(_BatchedTanh())
-            else:
-                return None
+        compiler = _Compiler(matrix, row_offset)
+        try:
+            root = compiler.compile(module, "")
+        except _Rejected as rejected:
+            return None, str(rejected)
+        if isinstance(root, _BatchedChain):
+            layers = root.layers
+        else:
+            layers = [] if root is None else [root]
         if not layers:
-            return None
+            return None, "the model has no layers"
         # Every parameter in the layout must belong to the chain we walk;
         # anything left over would silently never receive gradients.
-        if covered != spec.total_size:
-            return None
-        return cls(layers, matrix, input_ndim=3)
-
-    @classmethod
-    def _build_convnet(
-        cls, matrix: WorkerMatrix, module
-    ) -> Optional["BatchedReplicaExecutor"]:
-        from repro.nn.layers import Conv2d, GlobalAvgPool2d, Linear, MaxPool2d, ReLU
-
-        spec = matrix.spec
-        covered = 0
-        layers: List[object] = []
-        for idx, layer in enumerate(module.features):
-            prefix = f"features.{idx}."
-            if isinstance(layer, Conv2d):
-                built = cls._batched_conv(matrix, spec, prefix, layer)
-                if built is None:
-                    return None
-                layers.append(built[0])
-                covered += built[1]
-            elif isinstance(layer, ReLU):
-                layers.append(_BatchedReLU())
-            elif isinstance(layer, MaxPool2d):
-                layers.append(_BatchedMaxPool2d(layer.kernel_size, layer.stride))
-            elif isinstance(layer, GlobalAvgPool2d):
-                layers.append(_BatchedGlobalAvgPool2d())
-            else:
-                return None
-        if not isinstance(module.head, Linear):
-            return None
-        built = cls._batched_linear(matrix, spec, "head.", module.head)
-        if built is None:
-            return None
-        layers.append(built[0])
-        covered += built[1]
-        if covered != spec.total_size:
-            return None
-        return cls(layers, matrix, input_ndim=5)
-
-    @classmethod
-    def _batched_layernorm(cls, matrix: WorkerMatrix, spec, prefix: str, layer):
-        """(layer, covered_entries) for one LayerNorm, or None if layout-mismatched."""
-        g_name, b_name = prefix + "gamma", prefix + "beta"
-        if g_name not in spec or b_name not in spec:
-            return None
-        g_sl = spec.slice_of(g_name)
-        b_sl = spec.slice_of(b_name)
-        batched = _BatchedLayerNorm(
-            matrix.params[:, g_sl],
-            matrix.grads[:, g_sl],
-            matrix.params[:, b_sl],
-            matrix.grads[:, b_sl],
-            eps=layer.eps,
+        uncovered = matrix.spec.total_size - compiler.covered
+        if uncovered:
+            return None, f"{uncovered} parameters lie outside the compiled layers"
+        executor = cls(
+            layers,
+            matrix,
+            input_ndim=compiler.input_ndim or 3,
+            token_input=compiler.token_input,
         )
-        covered = (g_sl.stop - g_sl.start) + (b_sl.stop - b_sl.start)
-        return batched, covered
+        return executor, None
 
     @classmethod
-    def _build_transformer(
+    def build(
         cls, matrix: WorkerMatrix, module, row_offset: int = 0
     ) -> Optional["BatchedReplicaExecutor"]:
-        from repro.nn.attention import (
-            MultiHeadSelfAttention,
-            PositionalEncoding,
-            TransformerEncoderLayer,
-        )
-        from repro.nn.layers import Embedding, LayerNorm, Linear, ReLU
-
-        spec = matrix.spec
-        n = matrix.num_workers
-        covered = 0
-        layers: List[object] = []
-
-        if type(module.embedding) is not Embedding or "embedding.weight" not in spec:
-            return None
-        e_shape = spec.shape_of("embedding.weight")
-        e_sl = spec.slice_of("embedding.weight")
-        layers.append(
-            _BatchedEmbedding(
-                matrix.params[:, e_sl].reshape((n,) + e_shape),
-                matrix.grads[:, e_sl].reshape((n,) + e_shape),
-            )
-        )
-        covered += e_sl.stop - e_sl.start
-
-        if type(module.pos_encoding) is not PositionalEncoding:
-            return None
-        layers.append(_BatchedPositionalEncoding(module.pos_encoding.pe))
-
-        def seq_linear(prefix: str, layer):
-            nonlocal covered
-            if not isinstance(layer, Linear):
-                return None
-            built = cls._batched_linear(matrix, spec, prefix, layer)
-            if built is None:
-                return None
-            covered += built[1]
-            return built[0]
-
-        def layer_norm(prefix: str, layer):
-            nonlocal covered
-            if type(layer) is not LayerNorm:
-                return None
-            built = cls._batched_layernorm(matrix, spec, prefix, layer)
-            if built is None:
-                return None
-            covered += built[1]
-            return built[0]
-
-        for i, enc in enumerate(module._layers):
-            if type(enc) is not TransformerEncoderLayer:
-                return None
-            attn = enc.attn
-            if type(attn) is not MultiHeadSelfAttention:
-                return None
-            if not isinstance(enc.act, ReLU):
-                return None
-            # Active dropout batches only when its masks come from a shared
-            # per-step stream; private per-layer RNG streams cannot be
-            # replayed batched, so such models use the fallback loop.
-            def batched_dropout(layer) -> Optional[_BatchedDropout]:
-                if layer.p == 0.0:
-                    return None
-                return _BatchedDropout(
-                    layer._shared_stream, layer._stream_layer_id, layer.p, row_offset
-                )
-
-            for drop in (enc.drop1, enc.drop2):
-                if drop.p != 0.0 and drop._shared_stream is None:
-                    return None
-            prefix = f"layer{i}."
-            norm1 = layer_norm(prefix + "norm1.", enc.norm1)
-            q = seq_linear(prefix + "attn.q_proj.", attn.q_proj)
-            k = seq_linear(prefix + "attn.k_proj.", attn.k_proj)
-            v = seq_linear(prefix + "attn.v_proj.", attn.v_proj)
-            o = seq_linear(prefix + "attn.out_proj.", attn.out_proj)
-            norm2 = layer_norm(prefix + "norm2.", enc.norm2)
-            ff1 = seq_linear(prefix + "ff1.", enc.ff1)
-            ff2 = seq_linear(prefix + "ff2.", enc.ff2)
-            if any(x is None for x in (norm1, q, k, v, o, norm2, ff1, ff2)):
-                return None
-            batched_attn = _BatchedSelfAttention(
-                q,
-                k,
-                v,
-                o,
-                num_heads=attn.num_heads,
-                d_head=attn.d_head,
-                causal=attn.causal,
-            )
-            layers.append(
-                _BatchedEncoderLayer(
-                    norm1,
-                    batched_attn,
-                    norm2,
-                    ff1,
-                    _BatchedReLU(),
-                    ff2,
-                    drop1=batched_dropout(enc.drop1),
-                    drop2=batched_dropout(enc.drop2),
-                )
-            )
-
-        final_norm = layer_norm("final_norm.", module.final_norm)
-        head = seq_linear("lm_head.", module.lm_head)
-        if final_norm is None or head is None:
-            return None
-        layers.append(final_norm)
-        layers.append(head)
-        if covered != spec.total_size:
-            return None
-        return cls(layers, matrix, input_ndim=3, token_input=True)
+        """:meth:`compile` without the reason: the executor or ``None``."""
+        return cls.compile(matrix, module, row_offset)[0]
 
     # ------------------------------------------------------------------ #
     def step(

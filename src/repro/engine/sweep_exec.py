@@ -173,13 +173,12 @@ class StackedSweepMatrix:
             sub = WorkerMatrix(
                 hi - lo, self.spec, params=self.params[lo:hi], grads=self.grads[lo:hi]
             )
-            executor = BatchedReplicaExecutor.build(sub, module)
+            executor, reason = BatchedReplicaExecutor.compile(sub, module)
             if executor is None:
                 raise ValueError(
-                    f"model family {type(module).__name__!r} is not supported by "
-                    "the batched replica executor; stacked sweeps require a "
-                    "batchable model (MLP / ConvNet / TransformerLM) — run the "
-                    "sequential sweep instead"
+                    f"model {type(module).__name__!r} is not supported by the "
+                    f"batched replica executor ({reason}); stacked sweeps require "
+                    "a batchable model — run the sequential sweep instead"
                 )
             self._executors.append((lo, hi, executor))
 

@@ -290,11 +290,42 @@ def make_trainer(
 
 @dataclass
 class ExperimentResult:
-    """A training result annotated with its workload and algorithm labels."""
+    """A training result annotated with its workload and algorithm labels.
+
+    ``exec_path`` says how gradients were computed (``batched``,
+    ``per_worker``, ``pool`` or ``stacked``); ``exec_reason`` is the batched
+    compiler's rejection reason when the run fell back to the per-worker
+    loop.
+    """
 
     workload: str
     algorithm: str
     result: TrainingResult
+    exec_path: str
+    exec_reason: Optional[str] = None
+
+    @classmethod
+    def from_run(
+        cls, preset: WorkloadPreset, trainer: BaseTrainer, result: TrainingResult
+    ) -> "ExperimentResult":
+        """Label ``result`` with the path its cluster ran, and count that path."""
+        cluster = trainer.cluster
+        telemetry.count("repro_exec_path_total", path=cluster.exec_path)
+        return cls(
+            workload=preset.name,
+            algorithm=trainer.describe(),
+            result=result,
+            exec_path=cluster.exec_path,
+            exec_reason=cluster.exec_reason,
+        )
+
+    @property
+    def exec_meta(self) -> Dict[str, str]:
+        """The record-meta stamp: the path, plus the reason when there is one."""
+        meta = {"exec_path": self.exec_path}
+        if self.exec_reason is not None:
+            meta["exec_reason"] = self.exec_reason
+        return meta
 
 
 def run_experiment(
@@ -436,4 +467,4 @@ def run_experiment(
         result.extras["fault_crashes"] = float(controller.crash_count)
         result.extras["fault_rejoins"] = float(controller.rejoin_count)
         result.extras["fault_stragglers"] = float(controller.straggler_count)
-    return ExperimentResult(workload=preset.name, algorithm=trainer.describe(), result=result)
+    return ExperimentResult.from_run(preset, trainer, result)

@@ -275,8 +275,6 @@ def run_sweep_stacked(
     for params, trainer, result in zip(combos, trainers, results):
         sweep.append(
             params,
-            ExperimentResult(
-                workload=preset.name, algorithm=trainer.describe(), result=result
-            ),
+            ExperimentResult.from_run(preset, trainer, result),
         )
     return sweep

@@ -183,7 +183,8 @@ class ResultsStore:
 
         ``records`` are JSON-ready dicts in the
         :class:`~repro.scenarios.runner.ScenarioRecord` shape
-        (``{"params", "label", "metrics"}``).  When ``provenance`` is
+        (``{"params", "label", "metrics"}``; only those keys are stored).
+        When ``provenance`` is
         omitted, one is built from ``meta`` — callers that already computed
         identity (:func:`repro.api.run`) pass theirs through so the store
         key matches the JSON artifact and the service job record.

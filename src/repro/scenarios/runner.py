@@ -66,13 +66,16 @@ class ScenarioRecord:
     ``phases`` is the opt-in per-phase wall-clock breakdown (phase name →
     seconds) captured around this run when :mod:`repro.telemetry` tracing is
     active; ``None`` — the default when telemetry is off — keeps the record
-    shape byte-identical to pre-telemetry artifacts.
+    shape byte-identical to pre-telemetry artifacts.  ``meta`` says how a
+    training run executed (``exec_path``, plus ``exec_reason`` when the
+    batched compiler rejected the model); analytic records carry none.
     """
 
     params: Dict[str, Any]
     label: str
     metrics: Dict[str, float]
     phases: Optional[Dict[str, float]] = None
+    meta: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready representation."""
@@ -83,6 +86,8 @@ class ScenarioRecord:
         }
         if self.phases is not None:
             payload["phases"] = dict(self.phases)
+        if self.meta is not None:
+            payload["meta"] = dict(self.meta)
         return payload
 
 
@@ -339,6 +344,7 @@ def _run_sweep(
                 label=out.algorithm,
                 metrics=metrics,
                 phases=phases,
+                meta=out.exec_meta,
             )
         )
 
@@ -382,7 +388,7 @@ def _verify_delta_endpoints(
             "delta": lo,
             "record": ScenarioRecord(
                 params={"anchor": "bsp"}, label=bsp.algorithm,
-                metrics=bsp_metrics,
+                metrics=bsp_metrics, meta=bsp.exec_meta,
             ).to_dict(),
             "matches_sweep_endpoint": _exact_match(delta_lo, bsp.result),
         },
@@ -390,7 +396,7 @@ def _verify_delta_endpoints(
             "delta": hi,
             "record": ScenarioRecord(
                 params={"anchor": "local_sgd"}, label=local.algorithm,
-                metrics=local_metrics,
+                metrics=local_metrics, meta=local.exec_meta,
             ).to_dict(),
             "matches_sweep_endpoint": _exact_match(delta_hi, local.result),
         },
@@ -458,6 +464,7 @@ def _run_comparison(
                     label=out.algorithm,
                     metrics=result_metrics(out.result),
                     phases=telemetry.phase_delta(phase_start) or None,
+                    meta=out.exec_meta,
                 )
             )
     return report
@@ -528,6 +535,7 @@ def _run_fault(
                 params={"attempt": attempt},
                 label=out.algorithm,
                 metrics=result_metrics(out.result),
+                meta=out.exec_meta,
             )
         )
 

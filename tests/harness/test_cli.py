@@ -46,8 +46,7 @@ class TestRunCommand:
 
     @pytest.mark.pool
     def test_run_with_pool_workers(self, capsys):
-        # ResNet has no batched executor, so the pool children run the
-        # per-worker fallback — the models-too-heavy-to-batch scenario.
+        # Each pool child runs the batched executor on its group's rows.
         code = main([
             "run", "--workload", "resnet101", "--algorithm", "bsp",
             "--workers", "2", "--iterations", "4", "--pool-workers", "2",
