@@ -17,8 +17,11 @@ The run merges sections into ``BENCH_engine.json`` at the repo root:
 * ``fused_adam`` — BSP steps/sec with every worker on Adam (the fused (N, D)
   moment-matrix path) in both dtypes, recorded for trend tracking;
 * ``paper_models`` — BSP steps/sec at N=4 on the resnet101, vgg11 and
-  alexnet presets with a host fingerprint (cpu count, BLAS vendor and
-  threads, numpy), gated on every model running the batched executor.
+  alexnet presets, gated on every model running the batched executor.
+
+Every section records the host it was measured on (``host``: cpu count,
+BLAS vendor, version and threads, numpy; :func:`host_fingerprint`) — under
+``config`` for the top-level smoke rows.
 
 ``--run-scale`` additionally (or independently) merges a ``scale_sweep``
 section: BSP steps/sec for N in {8, 64, 128, 256} on the MLP and
@@ -332,6 +335,7 @@ def run_scale_sweep() -> dict:
             "steps": {str(n): SCALE_STEPS[n] for n in SCALE_WORKERS},
             "repeats": SCALE_REPEATS,
         },
+        "host": host_fingerprint(),
         "steps_per_sec": {"mlp": mlp, "transformer": transformer},
         "transformer_per_worker_n8_steps_per_sec": per_worker_n8,
         "transformer_batched_speedup_n8": transformer["8"] / per_worker_n8,
@@ -422,6 +426,7 @@ def run_pool_benchmark() -> dict:
             "repeats": POOL_REPEATS,
             "cpu_count": os.cpu_count(),
         },
+        "host": host_fingerprint(),
         "steps_per_sec": {
             "convnet_fallback_single_process": single,
             f"convnet_fallback_pool_{POOL_WORKERS}": pooled,
@@ -475,6 +480,7 @@ def run_telemetry_benchmark() -> dict:
             "warmup": TELEMETRY_WARMUP,
             "repeats": TELEMETRY_REPEATS,
         },
+        "host": host_fingerprint(),
         "steps_per_sec": best,
         "disabled_overhead": disabled_overhead,
         "enabled_overhead": enabled_overhead,
@@ -542,6 +548,7 @@ def run_benchmark() -> dict:
         dtype: measure_variant(dtype, "adam", MLP_SIZES, BATCH_SIZE)
         for dtype in ("float64", "float32")
     }
+    host = host_fingerprint()
     return {
         "config": {
             "num_workers": NUM_WORKERS,
@@ -555,6 +562,7 @@ def run_benchmark() -> dict:
             "dtype_batch_size": DTYPE_BATCH_SIZE,
             "dtype_steps": DTYPE_STEPS,
             "dtype_repeats": DTYPE_REPEATS,
+            "host": host,
         },
         "baseline_steps_per_sec": BASELINE_STEPS_PER_SEC,
         "current_steps_per_sec": current,
@@ -562,10 +570,12 @@ def run_benchmark() -> dict:
             name: current[name] / BASELINE_STEPS_PER_SEC[name] for name in current
         },
         "dtype_mode": {
+            "host": host,
             "steps_per_sec": dtype_mode,
             "float32_speedup_over_float64": dtype_mode["float32"] / dtype_mode["float64"],
         },
         "fused_adam": {
+            "host": host,
             "steps_per_sec": fused_adam,
             "float32_speedup_over_float64": fused_adam["float32"] / fused_adam["float64"],
         },

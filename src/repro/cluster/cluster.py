@@ -354,6 +354,10 @@ class SimulatedCluster:
             raise ValueError(f"worker {worker_id} is already inactive")
         if self.num_active == 1:
             raise ValueError("cannot deactivate the last active worker")
+        # Pin the lazily computed gradient norm: the fused step overwrites
+        # a crashed row with a placeholder gradient and then zeroes it.
+        worker = self.workers[worker_id]
+        worker.last_grad_norm = worker.last_grad_norm
         self.active_mask[worker_id] = False
 
     def reactivate_worker(self, worker_id: int) -> None:
@@ -436,10 +440,8 @@ class SimulatedCluster:
             if self.replica_exec is not None:
                 losses = self.replica_exec.step(batches)
                 if losses is not None:
-                    norms = self.replica_exec.grad_norms()
-                    for worker, loss, norm in zip(self.workers, losses, norms):
-                        worker.last_loss = float(loss)
-                        worker.last_grad_norm = float(norm)
+                    for worker, loss in zip(self.workers, losses):
+                        worker.record_gradient(loss)
                     return [float(l) for l in losses]
             return [
                 worker.compute_gradients_flat(batch)[0]
@@ -469,13 +471,10 @@ class SimulatedCluster:
                 filled = [b if b is not None else placeholder for b in batches]
                 losses = self.replica_exec.step(filled)
                 if losses is not None:
-                    norms = self.replica_exec.grad_norms()
                     self.matrix.grads[~mask] = 0.0
                     out: List[float] = []
                     for worker_id in active:
-                        worker = self.workers[worker_id]
-                        worker.last_loss = float(losses[worker_id])
-                        worker.last_grad_norm = float(norms[worker_id])
+                        self.workers[worker_id].record_gradient(losses[worker_id])
                         out.append(float(losses[worker_id]))
                     return out
             return [

@@ -41,7 +41,36 @@ class Worker:
         self.task = task
         self.steps_taken = 0
         self.last_loss: Optional[float] = None
-        self.last_grad_norm: Optional[float] = None
+        self._last_grad_norm: Optional[float] = None
+        # True while last_grad_norm is still to be computed from the row.
+        self._grad_norm_from_row = False
+
+    @property
+    def last_grad_norm(self) -> Optional[float]:
+        """L2 norm of the worker's most recent gradient (None before any).
+
+        In-process gradient computations only record that a new gradient
+        sits in the worker's row (:meth:`record_gradient`); the norm
+        ``sqrt(g @ g)`` is taken from the row on the first read and then
+        cached, so steps whose norm nobody reads (only checkpoints do) skip
+        a full pass over the gradient.  Assigning a value — the replica
+        pool's child-side norms, a checkpoint restore — stores it as is.
+        """
+        if self._grad_norm_from_row:
+            grad = self.model.grad_vector
+            self._last_grad_norm = float(np.sqrt(grad @ grad))
+            self._grad_norm_from_row = False
+        return self._last_grad_norm
+
+    @last_grad_norm.setter
+    def last_grad_norm(self, value: Optional[float]) -> None:
+        self._last_grad_norm = value
+        self._grad_norm_from_row = False
+
+    def record_gradient(self, loss: float) -> None:
+        """Note a fresh gradient in the worker's row and its loss."""
+        self.last_loss = float(loss)
+        self._grad_norm_from_row = True
 
     # ------------------------------------------------------------------ #
     # core training ops
@@ -82,10 +111,8 @@ class Worker:
         with telemetry.span("engine.backward"):
             loss, dlogits = cross_entropy_with_logits(logits, targets)
             self.model.backward(dlogits)
-        grad_vector = self.model.grad_vector
-        self.last_loss = loss
-        self.last_grad_norm = float(np.sqrt(grad_vector @ grad_vector))
-        return loss, grad_vector
+        self.record_gradient(loss)
+        return loss, self.model.grad_vector
 
     def apply_update(
         self,

@@ -34,15 +34,23 @@ loop.  Active dropout batches when its layers draw from a
 :class:`~repro.engine.dropout_stream.SharedDropoutStream` (one deterministic
 ``(N, ...)`` mask block per step and layer); dropout on private per-layer
 RNG streams is rejected.
+
+The input gradient of a step is discarded, so the backward pass stops at
+the first parameterised layer, which computes only its parameter gradients.
+Elementwise work (ReLU, LayerNorm) runs through the shared
+:mod:`repro.engine.kernels`.  While tracing is on, every layer pass runs in
+an ``engine.layer`` span tagged with its kernel kind.
 """
 
 from __future__ import annotations
 
+import time
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry
+from repro.engine.kernels import layer_norm, layer_norm_backward, relu, relu_backward
 from repro.engine.worker_matrix import WorkerMatrix
 
 
@@ -85,7 +93,8 @@ class _BatchedLinear:
             return out.reshape(self._seq_shape + (out.shape[-1],))
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward_params(self, grad_out: np.ndarray) -> np.ndarray:
+        """Weight and bias gradients only; returns the folded ``grad_out``."""
         if grad_out.ndim == 4:
             grad_out = np.ascontiguousarray(grad_out).reshape(
                 grad_out.shape[0], -1, grad_out.shape[-1]
@@ -94,7 +103,10 @@ class _BatchedLinear:
         np.matmul(grad_out.transpose(0, 2, 1), self._x, out=self.weight_grad)
         if self.bias_grad is not None:
             self.bias_grad[...] = grad_out.sum(axis=1)
-        grad_in = np.matmul(grad_out, self.weight)
+        return grad_out
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        grad_in = np.matmul(self.backward_params(grad_out), self.weight)
         if self._seq_shape is not None:
             return grad_in.reshape(self._seq_shape + (grad_in.shape[-1],))
         return grad_in
@@ -102,14 +114,14 @@ class _BatchedLinear:
 
 class _BatchedReLU:
     def __init__(self) -> None:
-        self._mask: Optional[np.ndarray] = None
+        self._out: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, x.dtype.type(0))
+        self._out = relu(x)
+        return self._out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad_out, grad_out.dtype.type(0))
+        return relu_backward(self._out, grad_out)
 
 
 class _BatchedTanh:
@@ -171,10 +183,10 @@ class _BatchedConv2d:
         out_c = self.w_flat.shape[1]
         return out.reshape(n, b, out_h, out_w, out_c).transpose(0, 1, 4, 2, 3)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        from repro.nn.layers import _col2im
-
-        n, b, c, h, w = self._x_shape
+    def backward_params(self, grad_out: np.ndarray) -> np.ndarray:
+        """Weight and bias gradients only; returns the ``(N, B·HW, out_c)``
+        gradient block."""
+        n, b = self._x_shape[:2]
         out_h, out_w = self._out_hw
         out_c = self.w_flat.shape[1]
         g = np.ascontiguousarray(grad_out.transpose(0, 1, 3, 4, 2)).reshape(
@@ -184,7 +196,14 @@ class _BatchedConv2d:
         np.matmul(g.transpose(0, 2, 1), self._cols, out=self.w_flat_grad)
         if self.bias_grad is not None:
             self.bias_grad[...] = g.sum(axis=1)
-        dcols = np.matmul(g, self.w_flat)
+        return g
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        from repro.nn.layers import _col2im
+
+        n, b, c, h, w = self._x_shape
+        out_h, out_w = self._out_hw
+        dcols = np.matmul(self.backward_params(grad_out), self.w_flat)
         k = self.kernel_size
         dx = _col2im(
             dcols.reshape(n * b, out_h, out_w, -1),
@@ -310,12 +329,15 @@ class _BatchedEmbedding:
         self._ids = ids                  # (N, B, T) integer token ids
         return self.weight[self._rows, ids]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward_params(self, grad_out: np.ndarray) -> None:
         # Scatter-add per replica; the embedding rows are the only gradient
         # entries not produced by an overwriting matmul, so zero them first
         # (accumulate-from-zero semantics, matching Module.zero_grad()).
         self.weight_grad[...] = 0.0
         np.add.at(self.weight_grad, (self._rows, self._ids), grad_out)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_out)
         # Token ids carry no gradient.
         return np.zeros(self._ids.shape, dtype=grad_out.dtype)
 
@@ -353,7 +375,9 @@ class _BatchedLayerNorm:
     sequence blocks (transformers).  The per-replica ``(N, d)`` affine
     parameters broadcast over the middle axes, and their gradients reduce
     over those same axes — the per-worker layer's reduction axes shifted by
-    the replica axis.
+    the replica axis.  The normalisation itself is the shared
+    :func:`~repro.engine.kernels.layer_norm` kernel, which the per-worker
+    layer uses too.
     """
 
     def __init__(
@@ -376,30 +400,20 @@ class _BatchedLayerNorm:
         return (n,) + (1,) * (ndim - 2) + (d,)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
+        x_hat, inv_std = layer_norm(x, self.eps)
         self._cache = (x_hat, inv_std)
         shape = self._affine_shape(x.ndim)
-        return self.gamma.reshape(shape) * x_hat + self.beta.reshape(shape)
+        out = self.gamma.reshape(shape) * x_hat
+        out += self.beta.reshape(shape)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x_hat, inv_std = self._cache
-        d = x_hat.shape[-1]
         reduce_axes = tuple(range(1, grad_out.ndim - 1))
         self.gamma_grad[...] = (grad_out * x_hat).sum(axis=reduce_axes)
         self.beta_grad[...] = grad_out.sum(axis=reduce_axes)
         dxhat = grad_out * self.gamma.reshape(self._affine_shape(grad_out.ndim))
-        return (
-            inv_std
-            / d
-            * (
-                d * dxhat
-                - dxhat.sum(axis=-1, keepdims=True)
-                - x_hat * (dxhat * x_hat).sum(axis=-1, keepdims=True)
-            )
-        )
+        return layer_norm_backward(dxhat, x_hat, inv_std)
 
 
 class _BatchedSelfAttention:
@@ -512,6 +526,80 @@ class _BatchedResidual:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out + self.branch.backward(grad_out)
+
+
+#: Layers without parameters: before the first parameterised layer their
+#: backward pass only feeds the discarded input gradient.
+_PARAM_FREE = (
+    _BatchedReLU,
+    _BatchedTanh,
+    _BatchedMaxPool2d,
+    _BatchedGlobalAvgPool2d,
+    _BatchedDropout,
+    _BatchedPositionalEncoding,
+)
+
+
+_LOSS_ATTRS = {"kind": "cross_entropy", "pass": "backward"}
+
+
+class _TracedLayer:
+    """One executor layer whose passes are timed while tracing is on.
+
+    Each pass appends ``(t0, t1, attrs, first_child)`` to the executor's
+    timing list — two clock reads instead of one span enter/exit — and the
+    executor hands each pass's list to
+    :meth:`~repro.telemetry.trace.Tracer.add_timed`, which records them as
+    ``engine.layer`` spans tagged with the kernel kind (``linear``,
+    ``relu``, ``residual``…) and the pass.  Built only on the first traced
+    step, so untraced steps pay nothing per layer.
+    """
+
+    def __init__(self, layer, kind: str, timings: list) -> None:
+        self.layer = layer
+        self._timings = timings
+        self._forward = {"kind": kind, "pass": "forward"}
+        self._backward = {"kind": kind, "pass": "backward"}
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        timings = self._timings
+        first = len(timings)
+        t0 = time.perf_counter()
+        out = self.layer.forward(x)
+        timings.append((t0, time.perf_counter(), self._forward, first))
+        return out
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        timings = self._timings
+        first = len(timings)
+        t0 = time.perf_counter()
+        grad_in = self.layer.backward(grad_out)
+        timings.append((t0, time.perf_counter(), self._backward, first))
+        return grad_in
+
+    def backward_params(self, grad_out: np.ndarray):
+        timings = self._timings
+        first = len(timings)
+        t0 = time.perf_counter()
+        out = self.layer.backward_params(grad_out)
+        timings.append((t0, time.perf_counter(), self._backward, first))
+        return out
+
+
+def _traced(layer, timings: list) -> _TracedLayer:
+    """Wrap ``layer`` in timers; residual branches' layers are timed too."""
+    if isinstance(layer, _BatchedResidual):
+        branch = _BatchedChain([_traced(inner, timings) for inner in layer.branch.layers])
+        return _TracedLayer(_BatchedResidual(branch), "residual", timings)
+    kind = type(layer).__name__.removeprefix("_Batched").lower()
+    return _TracedLayer(layer, kind, timings)
+
+
+def _emit_layer_spans(parent, timings: Optional[list]) -> None:
+    """Hand one pass's layer timings to the tracer as children of ``parent``."""
+    if timings:
+        telemetry.get_tracer().add_timed(parent, "engine.layer", timings)
+        timings.clear()
 
 
 class _Rejected(Exception):
@@ -741,6 +829,21 @@ def _index_grids(n_workers: int, batch: int) -> Tuple[np.ndarray, np.ndarray]:
     return grids
 
 
+def _loss_and_grad(
+    logits: np.ndarray, targets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-replica losses and the logits gradient of any logits rank."""
+    if logits.ndim == 4:
+        # Language-model logits (N, B, T, V): fold time into the batch
+        # axis, exactly as the per-worker cross-entropy flattens it.
+        n, b, t, v = logits.shape
+        losses, grad = _batched_cross_entropy(
+            logits.reshape(n, b * t, v), targets.reshape(n, b * t)
+        )
+        return losses, grad.reshape(n, b, t, v)
+    return _batched_cross_entropy(logits, targets)
+
+
 def _batched_cross_entropy(
     logits: np.ndarray, targets: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -781,6 +884,21 @@ class BatchedReplicaExecutor:
         # Token inputs stay integer (embedding lookup) instead of being cast
         # to the compute dtype.
         self._token_input = bool(token_input)
+        # step_stacked discards the input gradient, so the backward pass
+        # stops at the first parameterised layer (the "head"): the
+        # parameter-free layers before it are skipped, and the head itself
+        # computes only its parameter gradients when it can.
+        head = 0
+        while head < len(self._layers) and isinstance(self._layers[head], _PARAM_FREE):
+            head += 1
+        self._head = head
+        self._head_params_only = head < len(self._layers) and hasattr(
+            self._layers[head], "backward_params"
+        )
+        # Timed copy of the layer list, built on the first traced step, and
+        # the list its timings collect in during one pass.
+        self._traced_layers: Optional[List[_TracedLayer]] = None
+        self._layer_timings: list = []
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -878,24 +996,33 @@ class BatchedReplicaExecutor:
             x = np.asarray(x, dtype=self._matrix.dtype)
         if x.ndim != self._input_ndim or not np.issubdtype(targets.dtype, np.integer):
             return None
-        with telemetry.span("engine.forward"):
-            for layer in self._layers:
+        timings: Optional[list] = None
+        layers = self._layers
+        if telemetry.tracing_enabled():
+            if self._traced_layers is None:
+                self._traced_layers = [
+                    _traced(layer, self._layer_timings) for layer in self._layers
+                ]
+            timings, layers = self._layer_timings, self._traced_layers
+        with telemetry.span("engine.forward") as forward:
+            for layer in layers:
                 x = layer.forward(x)
+        _emit_layer_spans(forward, timings)
         if targets.shape != x.shape[:-1]:
             return None
-        with telemetry.span("engine.backward"):
-            if x.ndim == 4:
-                # Language-model logits (N, B, T, V): fold time into the batch
-                # axis, exactly as the per-worker cross-entropy flattens it.
-                n, b, t, v = x.shape
-                losses, grad = _batched_cross_entropy(
-                    x.reshape(n, b * t, v), targets.reshape(n, b * t)
-                )
-                grad = grad.reshape(n, b, t, v)
-            else:
-                losses, grad = _batched_cross_entropy(x, targets)
-            for layer in reversed(self._layers):
+        with telemetry.span("engine.backward") as backward:
+            t0 = time.perf_counter()
+            losses, grad = _loss_and_grad(x, targets)
+            if timings is not None:
+                timings.append((t0, time.perf_counter(), _LOSS_ATTRS, len(timings)))
+            head = self._head
+            for layer in reversed(layers[head + 1 :]):
                 grad = layer.backward(grad)
+            if self._head_params_only:
+                layers[head].backward_params(grad)
+            elif head < len(layers):
+                layers[head].backward(grad)
+        _emit_layer_spans(backward, timings)
         return losses
 
     def grad_norms(self) -> np.ndarray:

@@ -10,6 +10,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.engine.kernels import layer_norm, layer_norm_backward, relu, relu_backward
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
@@ -89,16 +90,16 @@ class Identity(Module):
 class ReLU(Module):
     def __init__(self) -> None:
         super().__init__()
-        self._mask: Optional[np.ndarray] = None
+        self._out: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._out = relu(np.asarray(x))
+        return self._out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._out is None:
             raise RuntimeError("ReLU.backward called before forward")
-        return np.where(self._mask, grad_output, 0.0)
+        return relu_backward(self._out, np.asarray(grad_output))
 
 
 class Tanh(Module):
@@ -295,32 +296,20 @@ class LayerNorm(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_float(x, self.gamma.data.dtype)
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
+        x_hat, inv_std = layer_norm(x, self.eps)
         self._cache = (x_hat, inv_std)
-        return self.gamma.data * x_hat + self.beta.data
+        out = self.gamma.data * x_hat
+        out += self.beta.data
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("LayerNorm.backward called before forward")
         x_hat, inv_std = self._cache
-        d = x_hat.shape[-1]
         reduce_axes = tuple(range(grad_output.ndim - 1))
         self.gamma.grad += (grad_output * x_hat).sum(axis=reduce_axes)
         self.beta.grad += grad_output.sum(axis=reduce_axes)
-        dxhat = grad_output * self.gamma.data
-        grad_input = (
-            inv_std
-            / d
-            * (
-                d * dxhat
-                - dxhat.sum(axis=-1, keepdims=True)
-                - x_hat * (dxhat * x_hat).sum(axis=-1, keepdims=True)
-            )
-        )
-        return grad_input
+        return layer_norm_backward(grad_output * self.gamma.data, x_hat, inv_std)
 
 
 class Embedding(Module):

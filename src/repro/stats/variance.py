@@ -84,22 +84,53 @@ def gradient_norm(grads) -> float:
     return float(np.sqrt(np.sum(flat**2)))
 
 
+_STATISTICS = ("variance", "second_moment", "norm")
+
+
 def batch_gradient_statistic(matrix: np.ndarray, statistic: str) -> np.ndarray:
     """Per-worker scalar gradient statistics over an ``(N, D)`` matrix.
 
-    One vectorized pass computes the reduction for *all* workers at once,
-    replacing N per-worker dict traversals on the SelSync hot path.
+    Returns one float64 value per row: ``"variance"`` (``row.var()``),
+    ``"second_moment"`` (``mean(row**2)``) or ``"norm"`` (``‖row‖₂``) —
+    the Δ(gᵢ) inputs of all workers in one call on the SelSync hot path.
+
+    The matrix is walked in groups of whole rows of about
+    :data:`~repro.engine.fused_optim.BLOCK` elements (one row at a time
+    when a row is longer), through one block-sized float64 scratch buffer:
+    a float32 matrix is cast block by block, and no ``(N, D)`` temporary is
+    made.  Every reduction still sees whole rows in numpy's own operation
+    order, so the result is bit-identical to ``np.var`` / ``np.mean`` /
+    ``np.sum`` over the float64 matrix.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
+    from repro.engine.fused_optim import BLOCK
+
+    matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError(f"expected an (N, D) matrix, got shape {matrix.shape}")
-    if statistic == "variance":
-        return matrix.var(axis=1)
-    if statistic == "second_moment":
-        return np.mean(matrix**2, axis=1)
-    if statistic == "norm":
-        return np.sqrt(np.sum(matrix**2, axis=1))
-    raise ValueError(f"unknown statistic {statistic!r}")
+    if statistic not in _STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    n_rows, n_cols = matrix.shape
+    out = np.empty(n_rows, dtype=np.float64)
+    count = np.intp(n_cols)
+    group = max(1, BLOCK // max(n_cols, 1))
+    scratch = np.empty((min(group, n_rows), n_cols), dtype=np.float64)
+    for lo in range(0, n_rows, group):
+        rows = matrix[lo : lo + group]
+        buf = scratch[: rows.shape[0]]
+        if rows.dtype != np.float64:
+            np.copyto(buf, rows)
+            rows = buf
+        if statistic == "variance":
+            mean = np.add.reduce(rows, axis=1, keepdims=True)
+            np.true_divide(mean, count, out=mean, casting="unsafe")
+            rows = np.subtract(rows, mean, out=buf)
+        np.square(rows, out=buf)
+        total = np.add.reduce(buf, axis=1, out=out[lo : lo + group])
+        if statistic == "norm":
+            np.sqrt(total, out=total)
+        else:
+            np.true_divide(total, count, out=total, casting="unsafe")
+    return out
 
 
 def per_layer_norms(grads: Mapping[str, np.ndarray]) -> Dict[str, float]:

@@ -25,9 +25,13 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["NULL_SPAN", "Span", "Tracer", "summarize_trace"]
+
+#: One pre-timed region for :meth:`Tracer.add_timed`:
+#: ``(t0, t1, attrs, first_child)``.
+Timing = Tuple[float, float, Dict[str, Any], int]
 
 #: Finished spans buffered in memory before an automatic sink flush.
 FLUSH_THRESHOLD = 10_000
@@ -135,6 +139,42 @@ class Span:
         return record
 
 
+class _TimedBatch:
+    """Pre-timed regions of one :meth:`Tracer.add_timed` call, unexpanded."""
+
+    __slots__ = ("name", "trace_id", "parent_id", "thread", "timings")
+
+    def __init__(self, name: str, parent: Span, thread: str, timings: List[Timing]):
+        self.name = name
+        self.trace_id = parent.trace_id
+        self.parent_id = parent.span_id
+        self.thread = thread
+        self.timings = timings
+
+    def records(self, tracer: "Tracer") -> List[Dict[str, Any]]:
+        timings = self.timings
+        parents: List[Optional[int]] = [None] * len(timings)
+        for index, timing in enumerate(timings):
+            for child in range(timing[3], index):
+                if parents[child] is None:
+                    parents[child] = index
+        ids = [tracer._next_span_id() for _ in timings]
+        return [
+            {
+                "name": self.name,
+                "trace_id": self.trace_id,
+                "span_id": ids[index],
+                "parent_id": self.parent_id if up is None else ids[up],
+                "start": tracer._epoch + t0,
+                "duration": t1 - t0,
+                "pid": tracer._pid,
+                "thread": self.thread,
+                "attrs": dict(attrs),
+            }
+            for index, ((t0, t1, attrs, _), up) in enumerate(zip(timings, parents))
+        ]
+
+
 class Tracer:
     """Collects finished spans, keeps per-phase totals, writes a JSONL sink."""
 
@@ -209,6 +249,45 @@ class Tracer:
                     span["name"], 0.0
                 ) + span.get("duration", 0.0)
 
+    def add_timed(
+        self, parent: Span, name: str, timings: Sequence[Timing]
+    ) -> None:
+        """Record pre-timed regions as finished ``name`` spans under ``parent``.
+
+        A hot loop too fine-grained for one :class:`Span` per region (each
+        costs a few microseconds to enter and finish) appends
+        ``(t0, t1, attrs, first_child)`` tuples instead — ``t0``/``t1``
+        from ``time.perf_counter()``, in end-time order — and hands the
+        batch over here once.  A timing's children are the timings from
+        index ``first_child`` up to it that have no parent yet, so nesting
+        needs no bookkeeping while timing; the rest parent to ``parent``.
+        Like spans, the records are only built when drained or flushed.
+        """
+        batch = _TimedBatch(name, parent, self._state()[1], list(timings))
+        total = 0.0
+        for t0, t1, _, _ in timings:
+            total += t1 - t0
+        with self._lock:
+            self._buffer.append(batch)
+            self._phase_totals[name] = self._phase_totals.get(name, 0.0) + total
+            overflow = (
+                self._sink_path is not None and len(self._buffer) >= FLUSH_THRESHOLD
+            )
+        if overflow:
+            self.flush()
+
+    def _records(self, entries: List[Any]) -> List[Dict[str, Any]]:
+        """Buffered spans, adopted dicts and timed batches as record dicts."""
+        out: List[Dict[str, Any]] = []
+        for entry in entries:
+            if isinstance(entry, Span):
+                out.append(entry.to_dict())
+            elif isinstance(entry, _TimedBatch):
+                out.extend(entry.records(self))
+            else:
+                out.append(entry)
+        return out
+
     # -- inspection ---------------------------------------------------------- #
     def phase_totals(self) -> Dict[str, float]:
         """Cumulative seconds per span name (cheap snapshot for records)."""
@@ -219,7 +298,7 @@ class Tracer:
         """Return and clear the in-memory buffer (child→parent transport)."""
         with self._lock:
             spans, self._buffer = self._buffer, []
-        return [s.to_dict() if isinstance(s, Span) else s for s in spans]
+        return self._records(spans)
 
     # -- sink ---------------------------------------------------------------- #
     def set_sink(self, path: Optional[str]) -> None:
@@ -241,11 +320,11 @@ class Tracer:
             spans, self._buffer = self._buffer, []
         if not spans:
             return 0
+        records = self._records(spans)
         with open(self._sink_path, "a", encoding="utf-8") as sink:
-            for span in spans:
-                record = span.to_dict() if isinstance(span, Span) else span
+            for record in records:
                 sink.write(json.dumps(record) + "\n")
-        return len(spans)
+        return len(records)
 
 
 def summarize_trace(path: str) -> Dict[str, Any]:
@@ -255,6 +334,9 @@ def summarize_trace(path: str) -> Dict[str, Any]:
     total_seconds, mean_seconds, share}}}`` where ``share`` is the phase's
     fraction of the trace wall (first span start → last span end).  Nested
     phases each count their own inclusive time, so shares can sum past 1.
+    Spans tagged with a ``kind`` attribute (the batched executor's
+    ``engine.layer`` spans) get one row per kind, e.g.
+    ``engine.layer[linear]``.
     """
     spans: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -269,7 +351,11 @@ def summarize_trace(path: str) -> Dict[str, Any]:
     wall = max(last - first, 0.0)
     phases: Dict[str, Dict[str, Any]] = {}
     for span in spans:
-        entry = phases.setdefault(span["name"], {"count": 0, "total_seconds": 0.0})
+        name = span["name"]
+        kind = (span.get("attrs") or {}).get("kind")
+        if kind is not None:
+            name = f"{name}[{kind}]"
+        entry = phases.setdefault(name, {"count": 0, "total_seconds": 0.0})
         entry["count"] += 1
         entry["total_seconds"] += span.get("duration", 0.0)
     for entry in phases.values():

@@ -137,3 +137,33 @@ class TestCheckpointMechanics:
         for a, b in zip(expected, resumed):
             np.testing.assert_array_equal(a[0], b[0])
             np.testing.assert_array_equal(a[1], b[1])
+
+    def test_lazy_grad_norm_survives_roundtrip(self, small_cluster_factory):
+        # In-process steps leave last_grad_norm to be computed from the row
+        # on read; a checkpoint reads it, and a restore brings back exactly
+        # that value even after the rows have moved on.
+        cluster = small_cluster_factory(num_workers=3)
+        cluster.compute_gradients_all(cluster.next_batches())
+        expected = [
+            float(np.sqrt(row @ row)).hex() for row in cluster.matrix.grads
+        ]
+        ckpt = cluster.checkpoint()
+        assert [norm.hex() for norm in ckpt.worker_last_grad_norm] == expected
+
+        cluster.compute_gradients_all(cluster.next_batches())
+        moved = [worker.last_grad_norm.hex() for worker in cluster.workers]
+        assert moved != expected
+        cluster.restore(ckpt)
+        assert [w.last_grad_norm.hex() for w in cluster.workers] == expected
+        # Restored rows equal the checkpoint's, so the norm is consistent
+        # with the gradients it sits beside.
+        for worker, row in zip(cluster.workers, ckpt.grads):
+            assert worker.last_grad_norm == float(np.sqrt(row @ row))
+
+    def test_lazy_grad_norm_before_any_gradient(self, small_cluster_factory):
+        cluster = small_cluster_factory(num_workers=2)
+        ckpt = cluster.checkpoint()
+        assert ckpt.worker_last_grad_norm == [None, None]
+        cluster.compute_gradients_all(cluster.next_batches())
+        cluster.restore(ckpt)
+        assert [w.last_grad_norm for w in cluster.workers] == [None, None]
