@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -130,3 +131,32 @@ def test_add_timed_links_children_and_keeps_phase_totals():
     assert records["d"]["parent_id"] == outer.span_id
     assert {r["trace_id"] for r in records.values()} == {outer.trace_id}
     assert records["d"]["duration"] == 0.5
+
+
+def test_sink_writes_timed_batches_as_json_dumps_would(tmp_path):
+    """The sink formats timed batches directly; each line is ``json.dumps``'s."""
+    path = tmp_path / "trace.jsonl"
+    tracer = telemetry.Tracer(str(path))
+    with tracer.span("outer") as outer:
+        pass
+    note = {"kind": "a", "note": 'quo"te\n'}
+    timings = [
+        (1.0, 2.0, note, 0),
+        (2.0, 3.25, {"kind": "b"}, 1),
+        (0.5, 3.5, {"kind": "c"}, 0),
+    ]
+    tracer.add_timed(outer, "engine.layer", timings)
+    tracer.add_timed(outer, "engine.layer", timings[:1])
+    assert tracer.flush() == 5
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(record) for record in records]
+    first, second = records[1:4], records[4:]
+    a, b, c = first
+    assert (a["attrs"], b["attrs"], c["attrs"]) == (note, {"kind": "b"}, {"kind": "c"})
+    assert a["parent_id"] == b["parent_id"] == c["span_id"]
+    assert c["parent_id"] == second[0]["parent_id"] == outer.span_id
+    assert [r["duration"] for r in records[1:]] == [1.0, 1.25, 3.0, 1.0]
+    assert b["start"] - a["start"] == pytest.approx(1.0)
+    assert {r["trace_id"] for r in records} == {outer.trace_id}
+    assert len({r["span_id"] for r in records}) == 5
